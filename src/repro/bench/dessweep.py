@@ -1,14 +1,10 @@
-"""DES engine sweep: reference generators vs array and vector fast paths.
+"""DES engine sweep: reference generators vs the array fast path.
 
 Times :func:`~repro.solvers.des_solver.des_execute` with the reference
 engine (one generator per process, one heap entry per event) against
-the array engine (:mod:`repro.solvers.des_array`) and the vector engine
-(:mod:`repro.solvers.des_vector`) on level-major workloads, verifying
-bit-identical traces, solutions, and counters on every case before any
-timing is trusted.  The partitioned parallel playout
-(:mod:`repro.solvers.des_partition`) is measured per case in the parent
-process — it wants the machine to itself — and its observables are
-checked against the sequential engines' digest.
+the array engine (:mod:`repro.solvers.des_array`) on level-major
+workloads, verifying bit-identical traces, solutions, and counters on
+every case before any timing is trusted.
 
 The sweep fans cases out across cores with a
 :class:`~concurrent.futures.ProcessPoolExecutor`; the parent process
@@ -24,29 +20,19 @@ the speedup floors — bit-identity, which is deterministic, is always
 enforced.  The ``scale-50k`` case additionally records the PR
 acceptance measurement (>= 5x on the n=50k level-major workload).
 
-Large cases (``n >= SKIP_REFERENCE_N``) skip the reference engine
-entirely: replaying tens of millions of events through generators (and
-holding their trace records) is what this sweep exists to avoid.  For
-those cases bit-equality is checked between the array and vector
-engines at the counter level (solution bits, simulated clock, event and
-trace counters, traces disabled); record-stream equality is covered by
-the smaller cases and the test batteries.
-
-Honest numbers: the epoch-compiled vector engine widened the mean
-batch from ~80 to ~350 events per epoch (recorded per case under
-``epoch_stats``), but the simulated-time event density caps epochs
-there regardless of ``n``, so per-epoch numpy dispatch still dominates
-and the 3x-over-array target is missed — the measured ratio is
-recorded per case as ``vector_over_array`` and against the target
-under ``vector_target``.  ``VECTOR_FLOOR`` is the ratcheted
-measured-reality regression floor, not the aspiration.  The same
-honesty applies to the partitioned playout (``partition_target``) and
-the scale-1M throughput row (``throughput_target``).
+Large cases (``n >= SKIP_REFERENCE_N``) never time the reference
+engine and never record its trace: timing tens of millions of events
+through generators (and holding their trace records) is what this
+sweep exists to avoid.  They still run it once, untimed and with traces
+disabled, and check it against the array engine at the counter level
+(solution bits, simulated clock, event and trace counters);
+record-stream equality is covered by the smaller cases and the test
+batteries.  The scale-1M throughput row records its rate against
+``throughput_target`` whether the target is met or not.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import statistics
 import tempfile
@@ -59,9 +45,7 @@ import numpy as np
 
 from repro.exec_model.artefacts import load_artefacts, spill_artefacts
 from repro.exec_model.costmodel import Design
-from repro.engine.protocol import design_hooks
 from repro.machine.node import dgx1
-from repro.solvers.des_partition import run_partitioned_spill
 from repro.solvers.des_solver import des_execute
 from repro.tasks.schedule import block_distribution
 from repro.workloads.generators import dag_profile_matrix
@@ -73,9 +57,6 @@ __all__ = [
     "QUICK_SCALE_OUT",
     "NOISE_CV",
     "SPEEDUP_FLOOR",
-    "VECTOR_FLOOR",
-    "VECTOR_TARGET",
-    "PARTITION_TARGET",
     "THROUGHPUT_TARGET",
     "MEDIUM_N",
     "LARGE_CASE_N",
@@ -85,7 +66,6 @@ __all__ = [
     "SWEEP_ENGINES",
     "COUNTER_KINDS",
     "measure_des_case",
-    "measure_partitioned_case",
     "measure_scaleout_case",
     "run_des_sweep",
 ]
@@ -93,9 +73,9 @@ __all__ = [
 #: Level-major workloads (wide fronts, scatter=0): the regime both DES
 #: engines spend the bulk of their events in.  ``scale-50k`` is the PR
 #: acceptance configuration (same generator settings as the fast-model
-#: bench's case of the same name); ``scale-200k`` / ``scale-500k`` are
-#: the large rows the array/vector engines unlock (reference engine
-#: skipped — see :data:`SKIP_REFERENCE_N`).
+#: bench's case of the same name); ``scale-200k`` / ``scale-1M`` are
+#: the large rows the array engine unlocks (reference engine untimed —
+#: see :data:`SKIP_REFERENCE_N`).
 DES_CASES: dict[str, dict[str, Any]] = {
     "des-2k": dict(
         n=2_000, n_levels=25, dependency=6.0, profile="uniform",
@@ -138,30 +118,9 @@ NOISE_CV = 0.2
 SPEEDUP_FLOOR = 3.0
 MEDIUM_N = 8_000
 
-#: Noise-aware vector-over-array floor for clean medium-and-up cases.
-#: Measured reality with the epoch compiler is ~0.5-0.6x (epochs hold
-#: ~350 events regardless of ``n``, so per-epoch numpy dispatch still
-#: dominates), so this gates against *regression* of the epoch path —
-#: ratcheted from the pre-epoch 0.3 — while the 3x aspiration is
-#: recorded honestly via ``vector_over_array`` and the
-#: ``vector_target`` payload block.
-VECTOR_FLOOR = 0.4
-
-#: The aspiration the ISSUE set for the epoch-compiled vector engine
-#: at scale-50k; recorded (met or not) in the payload's
-#: ``vector_target``.
-VECTOR_TARGET = 3.0
-VECTOR_TARGET_CASE = "scale-50k"
-
-#: Partitioned-playout target: beat the sequential array engine with
-#: >= 2 workers at n >= 100k.  Recorded (met or not) under
-#: ``partition_target``.
-PARTITION_TARGET = 1.0
-PARTITION_TARGET_CASE = "scale-200k"
-
-#: Aggregate throughput target for the scale-1M row (ROADMAP item 2's
-#: 10M events/s); recorded (met or not) under ``throughput_target``
-#: with the best measured engine rate on that row.
+#: Aggregate throughput target for the scale-1M row (10M events/s);
+#: recorded (met or not) under ``throughput_target`` with the array
+#: engine's measured rate on that row.
 THROUGHPUT_TARGET = 10_000_000.0
 THROUGHPUT_TARGET_CASE = "scale-1M"
 
@@ -169,20 +128,18 @@ THROUGHPUT_TARGET_CASE = "scale-1M"
 ACCEPTANCE_FLOOR = 5.0
 ACCEPTANCE_CASE = "scale-50k"
 
-#: At and above this size the reference engine is skipped (generator
-#: playout and record-level tracing are impractical) and engine
-#: equality is checked array-vs-vector at the counter level.
+#: At and above this size the reference engine is not timed and runs
+#: with traces disabled (timed generator playout and record-level
+#: tracing are impractical); engine equality is checked at the counter
+#: level.
 SKIP_REFERENCE_N = 100_000
 
 #: Fast engines the sweep can measure against the baseline.
-SWEEP_ENGINES = ("array", "vector")
+SWEEP_ENGINES = ("array",)
 
-#: Trace kinds compared between engines (and against the partitioned
-#: playout) when record streams are unavailable.
+#: Trace kinds compared between engines when record streams are
+#: unavailable.
 COUNTER_KINDS = ("dispatch", "solve", "release", "xfer_begin", "xfer_end")
-
-#: Worker processes for the partitioned playout measurement.
-PARTITION_WORKERS = 2
 
 #: Multi-node scale-out rows (the paper's strong-scaling regime pushed
 #: past a single NVSwitch island).  Each row simulates a cluster of
@@ -208,7 +165,7 @@ SCALE_OUT_CASES: dict[str, dict[str, Any]] = {
             locality=0.9, order_mix=0.3, scatter=0.0, seed=0,
         ),
         n_nodes=8, gpus_per_node=8, tasks_per_gpu=4, node_run=32,
-        design="shmem_readonly", tri_engine=True,
+        design="shmem_readonly", record_level=True,
     ),
     "cluster-8x8-naive": dict(
         workload=dict(
@@ -254,7 +211,7 @@ SCALE_OUT_CASES: dict[str, dict[str, Any]] = {
 
 #: Scale-out subset run by ``tools/sweep.py --quick``: the 64-GPU smoke
 #: rows (counter-verified in quick mode; the full sweep upgrades the
-#: read-only row to record-level tri-engine verification).
+#: read-only row to record-level verification).
 QUICK_SCALE_OUT = ("cluster-8x8", "cluster-8x8-naive")
 
 
@@ -300,7 +257,6 @@ def measure_des_case(
     n_gpus: int = 4,
     design: Design = Design.SHMEM_READONLY,
     repeats: int = 3,
-    engines: tuple[str, ...] = SWEEP_ENGINES,
 ) -> dict[str, Any]:
     """Verify and time the engines on one spilled workload.
 
@@ -308,13 +264,13 @@ def measure_des_case(
     parent's spill, never rebuilt — ``analysis_shared`` reports whether
     that held (the loaded bundle's DAG build count must stay 0).
 
-    The bit-equality checks run once with traces enabled (record
+    The bit-equality check runs once with traces enabled (record
     streams); the timed runs take one untimed warmup and then
     ``repeats`` trace-disabled repeats, keeping the best.  Cases at or
-    above :data:`SKIP_REFERENCE_N` skip the reference engine and check
-    array-vs-vector equality at the counter level instead.
+    above :data:`SKIP_REFERENCE_N` run the reference engine once,
+    untimed with traces disabled, and check array-vs-reference equality
+    at the counter level instead.
     """
-    engines = tuple(engines)
     lower, art = load_artefacts(spill_path)
     n = lower.shape[0]
     machine = dgx1(n_gpus)
@@ -331,20 +287,13 @@ def measure_des_case(
         )
 
     skip_reference = n >= SKIP_REFERENCE_N
-    identical = identical_vector = True
     if skip_reference:
-        base = run("array", False)
-        if "vector" in engines:
-            vec = run("vector", False)
-            identical_vector = _counters_identical(base, vec)
+        base = run("reference", False)
+        identical = _counters_identical(base, run("array", False))
         verified = "counters"
     else:
         base = run("reference", True)
-        arr = run("array", True)
-        identical = _executions_identical(base, arr)
-        if "vector" in engines:
-            vec = run("vector", True)
-            identical_vector = _executions_identical(base, vec)
+        identical = _executions_identical(base, run("array", True))
         verified = "trace"
     events = int(base.events)
 
@@ -364,38 +313,11 @@ def measure_des_case(
 
     ref_times = None if skip_reference else timed("reference")
     arr_times = timed("array")
-    vec_times = timed("vector") if "vector" in engines else None
-    epoch_stats = None
-    if "vector" in engines:
-        # Statistics of this process's most recent epoch playout (the
-        # last timed vector run); None when the run delegated to the
-        # scalar engines (e.g. unified designs).
-        from repro.engine.epoch import last_run_stats
-
-        st = last_run_stats()
-        if st is not None:
-            epoch_stats = {
-                k: st[k]
-                for k in (
-                    "epochs", "scalar_windows", "mean_events_per_epoch",
-                    "max_epoch_events", "overwide_clamps",
-                    "link_fallbacks", "pool_fallbacks", "lookahead",
-                )
-            }
     t_ref = min(ref_times) if ref_times else None
     t_arr = min(arr_times)
-    t_vec = min(vec_times) if vec_times else None
     cv_ref = cv(ref_times) if ref_times else 0.0
     cv_arr = cv(arr_times)
     noisy = max(cv_ref, cv_arr) > NOISE_CV
-    # Digest of the sequential observables, for the parent's partitioned
-    # playout verification (bitwise via sha256 of the solution bytes).
-    digest = {
-        "x_sha256": hashlib.sha256(base.x.tobytes()).hexdigest(),
-        "total_time": base.total_time,
-        "events": events,
-        "counters": {k: base.trace.count(k) for k in COUNTER_KINDS},
-    }
     return {
         "name": name,
         "n": int(n),
@@ -403,24 +325,11 @@ def measure_des_case(
         "events": events,
         "t_reference": t_ref,
         "t_array": t_arr,
-        "t_vector": t_vec,
         "speedup": (
             t_ref / t_arr if t_ref is not None and t_arr > 0 else None
         ),
-        "vector_over_array": (
-            t_arr / t_vec if t_vec is not None and t_vec > 0 else None
-        ),
         "events_per_sec_array": events / t_arr if t_arr > 0 else 0.0,
-        "events_per_sec_vector": (
-            events / t_vec if t_vec is not None and t_vec > 0 else None
-        ),
-        # Named alias for the throughput metric CI tracks: the vector
-        # engine *is* the epoch-compiled path on clean runs.
-        "events_per_sec_epoch": (
-            events / t_vec if t_vec is not None and t_vec > 0 else None
-        ),
         "identical": identical,
-        "identical_vector": identical_vector,
         "verified": verified,
         "cv_reference": cv_ref,
         "cv_array": cv_arr,
@@ -428,77 +337,8 @@ def measure_des_case(
         "enforce_floor": bool(
             enforce_floor and n >= MEDIUM_N and not skip_reference
         ),
-        "enforce_vector_floor": bool(
-            enforce_floor and n >= MEDIUM_N and t_vec is not None
-        ),
         "acceptance": bool(acceptance),
         "analysis_shared": art.build_counts.get("dag", 0) == 0,
-        "epoch_stats": epoch_stats,
-        "digest": digest,
-    }
-
-
-def measure_partitioned_case(
-    case: dict[str, Any],
-    spill_path: str,
-    *,
-    n_gpus: int = 4,
-    design: Design = Design.SHMEM_READONLY,
-    repeats: int = 3,
-    n_workers: int = PARTITION_WORKERS,
-) -> dict[str, Any]:
-    """Measure the partitioned playout for one already-measured case.
-
-    Runs in the parent after the pool has drained (the partitioned
-    playout spawns its own workers and should own the machine while
-    timed).  The first run doubles as warmup and verification: its
-    observables are compared bitwise against the sequential digest
-    recorded by :func:`measure_des_case`.  Unified designs have no
-    partitioned path (global page-table state) and report ``None``.
-    """
-    if design_hooks(design).page_table or n_gpus < 2:
-        return {
-            "t_partitioned": None,
-            "partition_identical": None,
-            "partition_rounds": None,
-            "partition_workers": None,
-            "events_per_sec_partitioned": None,
-            "partition_over_array": None,
-        }
-    n_workers = min(n_workers, n_gpus)
-    digest = case["digest"]
-
-    def run_once():
-        return run_partitioned_spill(
-            spill_path, n_gpus=n_gpus, design=design, n_workers=n_workers,
-        )
-
-    first = run_once()
-    ident = (
-        hashlib.sha256(first["x"].tobytes()).hexdigest()
-        == digest["x_sha256"]
-        and first["total_time"] == digest["total_time"]
-        and first["events"] == digest["events"]
-        and first["counters"] == digest["counters"]
-    )
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run_once()
-        times.append(time.perf_counter() - t0)
-    t_part = min(times)
-    t_arr = case["t_array"]
-    return {
-        "t_partitioned": t_part,
-        "partition_identical": ident,
-        "partition_rounds": int(first["rounds"]),
-        "partition_workers": n_workers,
-        "events_per_sec_partitioned": (
-            case["events"] / t_part if t_part > 0 else 0.0
-        ),
-        "partition_over_array": (
-            t_arr / t_part if t_part > 0 and t_arr else None
-        ),
     }
 
 
@@ -528,7 +368,7 @@ def measure_scaleout_case(
     spill_path: str,
     config: dict[str, Any],
     *,
-    tri_engine: bool = False,
+    record_level: bool = False,
 ) -> dict[str, Any]:
     """Simulate one multi-node row: flat taskpool vs hierarchical.
 
@@ -537,9 +377,9 @@ def measure_scaleout_case(
     distributions from it.  Both placements replay the same workload on
     the same fabric; the row records each placement's simulated
     makespan and its edge-tier split (how many dependency edges cross
-    the IB fallback tier).  With ``tri_engine`` the row verifies all
-    three engines record-identical on both placements; otherwise the
-    array and vector engines are checked at the counter level.
+    the IB fallback tier).  The reference and array engines must agree
+    on both placements: record by record with ``record_level``,
+    otherwise at the counter level with traces disabled.
     """
     from repro.runtime.config import RunConfig
 
@@ -569,21 +409,10 @@ def measure_scaleout_case(
         cfg = RunConfig.from_mapping(mapping)
         dist = cfg.build_distribution(n, machine.n_gpus, lower=lower)
         tiers = art.edge_tiers(dist, machine)
-        if tri_engine:
-            ref = run(dist, "reference", True)
-            arr = run(dist, "array", True)
-            vec = run(dist, "vector", True)
-            identical = (
-                identical
-                and _executions_identical(ref, arr)
-                and _executions_identical(ref, vec)
-            )
-            base = ref
-        else:
-            arr = run(dist, "array", False)
-            vec = run(dist, "vector", False)
-            identical = identical and _counters_identical(arr, vec)
-            base = arr
+        base = run(dist, "reference", record_level)
+        arr = run(dist, "array", record_level)
+        same = _executions_identical if record_level else _counters_identical
+        identical = identical and same(base, arr)
         placements[dname] = {
             "distribution": dname,
             "sim_time": float(base.total_time),
@@ -608,12 +437,8 @@ def measure_scaleout_case(
         "node_run": int(node_run),
         "machine_shape": list(base_cfg.machine_shape()),
         "design": design.value,
-        "engines_verified": (
-            ["reference", "array", "vector"]
-            if tri_engine
-            else ["array", "vector"]
-        ),
-        "verified": "trace" if tri_engine else "counters",
+        "engines_verified": ["reference", "array"],
+        "verified": "trace" if record_level else "counters",
         "identical": identical,
         "flat": flat,
         "hierarchical": hier,
@@ -635,29 +460,26 @@ def run_des_sweep(
     n_gpus: int = 4,
     design: Design = Design.SHMEM_READONLY,
     engines: tuple[str, ...] = SWEEP_ENGINES,
-    partitioned: bool = True,
-    partition_workers: int = PARTITION_WORKERS,
     scale_out: bool = True,
 ) -> dict[str, Any]:
     """Run the engine sweep; returns the ``BENCH_des.json`` payload.
 
     ``pass`` is False only when a deterministic property fails: an
-    engine mismatch anywhere (array, vector, or partitioned), a worker
-    that re-derived its analysis, or a *clean* (non-noisy) case below
-    its floor — ``SPEEDUP_FLOOR`` for medium-and-up cases,
-    ``ACCEPTANCE_FLOOR`` for the acceptance case, ``VECTOR_FLOOR`` for
-    the vector engine's regression gate.  ``cases`` overrides the case
-    table (tests use tiny workloads); ``engines`` selects the fast
-    engines measured (``tools/sweep.py --engines``); ``n_gpus`` /
+    engine mismatch anywhere, a worker that re-derived its analysis, or
+    a *clean* (non-noisy) case below its floor — ``SPEEDUP_FLOOR`` for
+    medium-and-up cases, ``ACCEPTANCE_FLOOR`` for the acceptance case.
+    ``cases`` overrides the case table (tests use tiny workloads);
+    ``engines`` names the fast engines measured (``tools/sweep.py
+    --engines``; unknown names raise ``ValueError``); ``n_gpus`` /
     ``design`` select the simulated node shape and communication design
     every case is measured on (the ``tools/sweep.py --config``
     surface).
 
     ``scale_out`` adds the multi-node rows (:data:`SCALE_OUT_CASES`):
     64-256 simulated GPUs across an IB tier, flat taskpool vs
-    hierarchical placement, engine identity enforced per row (record
-    level on the tri-engine row of the full sweep, counter level on the
-    quick smoke row).  A scale-out identity mismatch fails the sweep
+    hierarchical placement, reference/array identity enforced per row
+    (record level on the marked row of the full sweep, counter level
+    elsewhere).  A scale-out identity mismatch fails the sweep
     like any other; the hierarchical-vs-flat makespans are recorded
     honestly, not gated.  Scale-out rows only run against the built-in
     case table — a custom ``cases`` mapping skips them.
@@ -720,7 +542,6 @@ def run_des_sweep(
                         if table[cname].get("n", 0) < LARGE_CASE_N
                         else 1
                     ),
-                    engines=engines,
                 )
                 for cname in names
             }
@@ -731,10 +552,9 @@ def run_des_sweep(
                     so_spills[cname],
                     _scaleout_config(SCALE_OUT_CASES[cname], design),
                     # Quick mode keeps the smoke row at counter-level
-                    # verification; the full sweep runs the reference
-                    # engine for record-level tri-engine identity.
-                    tri_engine=bool(
-                        SCALE_OUT_CASES[cname].get("tri_engine")
+                    # verification; the full sweep checks record streams.
+                    record_level=bool(
+                        SCALE_OUT_CASES[cname].get("record_level")
                         and not quick
                     ),
                 )
@@ -742,29 +562,8 @@ def run_des_sweep(
             }
             results = [futures[cname].result() for cname in names]
             so_results = [so_futures[cname].result() for cname in so_names]
-        if partitioned:
-            # After the pool: the partitioned playout times its own
-            # worker processes and must not share cores with the sweep.
-            for c in results:
-                c.update(
-                    measure_partitioned_case(
-                        c,
-                        spills[c["name"]],
-                        n_gpus=n_gpus,
-                        design=design,
-                        repeats=(
-                            repeats if c["n"] < LARGE_CASE_N else 1
-                        ),
-                        n_workers=partition_workers,
-                    )
-                )
 
-    all_identical = all(
-        c["identical"] and c["identical_vector"] for c in results
-    )
-    partition_identical = all(
-        c.get("partition_identical") is not False for c in results
-    )
+    all_identical = all(c["identical"] for c in results)
     scaleout_identical = all(c["identical"] for c in so_results)
     analysis_shared = all(c["analysis_shared"] for c in results) and all(
         c["analysis_shared"] for c in so_results
@@ -777,14 +576,6 @@ def run_des_sweep(
         and c["speedup"] is not None
         and c["speedup"]
         < (ACCEPTANCE_FLOOR if c["acceptance"] else SPEEDUP_FLOOR)
-    ]
-    floor_misses += [
-        f"{c['name']}:vector"
-        for c in results
-        if c.get("enforce_vector_floor")
-        and not c["noisy"]
-        and c["vector_over_array"] is not None
-        and c["vector_over_array"] < VECTOR_FLOOR
     ]
     noisy = any(c["noisy"] for c in results if c["enforce_floor"])
     accept_cases = [c for c in results if c["acceptance"]]
@@ -800,46 +591,16 @@ def run_des_sweep(
                 and c["speedup"] >= ACCEPTANCE_FLOOR
             ),
         }
-    vector_target = None
-    vt = [c for c in results if c["name"] == VECTOR_TARGET_CASE]
-    if vt and vt[0].get("vector_over_array") is not None:
-        vector_target = {
-            "case": VECTOR_TARGET_CASE,
-            "target": VECTOR_TARGET,
-            "ratio": vt[0]["vector_over_array"],
-            "met": vt[0]["vector_over_array"] >= VECTOR_TARGET,
-        }
-    partition_target = None
-    pt = [c for c in results if c["name"] == PARTITION_TARGET_CASE]
-    if pt and pt[0].get("partition_over_array") is not None:
-        partition_target = {
-            "case": PARTITION_TARGET_CASE,
-            "target": PARTITION_TARGET,
-            "ratio": pt[0]["partition_over_array"],
-            "workers": pt[0]["partition_workers"],
-            "met": pt[0]["partition_over_array"] > PARTITION_TARGET,
-        }
     throughput_target = None
     tt = [c for c in results if c["name"] == THROUGHPUT_TARGET_CASE]
     if tt:
-        rates = [
-            r
-            for r in (
-                tt[0].get("events_per_sec_array"),
-                tt[0].get("events_per_sec_vector"),
-                tt[0].get("events_per_sec_partitioned"),
-            )
-            if r
-        ]
-        if rates:
-            throughput_target = {
-                "case": THROUGHPUT_TARGET_CASE,
-                "target": THROUGHPUT_TARGET,
-                "events_per_sec": max(rates),
-                "met": max(rates) >= THROUGHPUT_TARGET,
-            }
-    for c in results:
-        c.pop("digest", None)  # internal hand-off, not a payload field
+        rate = tt[0]["events_per_sec_array"]
+        throughput_target = {
+            "case": THROUGHPUT_TARGET_CASE,
+            "target": THROUGHPUT_TARGET,
+            "events_per_sec": rate,
+            "met": rate >= THROUGHPUT_TARGET,
+        }
     return {
         "bench": "des_engine",
         "quick": quick,
@@ -849,7 +610,6 @@ def run_des_sweep(
         "design": design.value,
         "engines": list(engines),
         "speedup_floor": SPEEDUP_FLOOR,
-        "vector_floor": VECTOR_FLOOR,
         "medium_n": MEDIUM_N,
         "acceptance_floor": ACCEPTANCE_FLOOR,
         "noise_cv": NOISE_CV,
@@ -857,18 +617,14 @@ def run_des_sweep(
         "cases": results,
         "scale_out": so_results,
         "all_identical": all_identical,
-        "partition_identical": partition_identical,
         "scaleout_identical": scaleout_identical,
         "analysis_shared": analysis_shared,
         "noisy": noisy,
         "floor_misses": floor_misses,
         "acceptance": acceptance,
-        "vector_target": vector_target,
-        "partition_target": partition_target,
         "throughput_target": throughput_target,
         "pass": (
             all_identical
-            and partition_identical
             and scaleout_identical
             and analysis_shared
             and not floor_misses

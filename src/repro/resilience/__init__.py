@@ -55,7 +55,6 @@ from repro.resilience.faults import (
 from repro.resilience.recovery import (
     RecoveryPolicy,
     ResilientResult,
-    resilient_execute,
     residual_repair,
 )
 from repro.resilience.service_faults import (
@@ -74,7 +73,6 @@ __all__ = [
     "flip_mantissa_bit",
     "RecoveryPolicy",
     "ResilientResult",
-    "resilient_execute",
     "residual_repair",
     "Watchdog",
     "ServiceFaultKind",

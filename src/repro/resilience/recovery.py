@@ -24,8 +24,7 @@ degraded communication:
 
 :func:`repro.runtime.session.resilient_run` composes all three around
 :func:`repro.solvers.des_solver.des_execute` and is what the chaos
-harness drives; :func:`resilient_execute` remains here as a deprecation
-shim for it.
+harness drives.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "RecoveryPolicy",
     "ResilientResult",
     "residual_repair",
-    "resilient_execute",
     "stale_validate",
 ]
 
@@ -239,51 +237,9 @@ def stale_validate(
 
 @dataclass(frozen=True)
 class ResilientResult:
-    """Outcome of one :func:`resilient_execute` run."""
+    """Outcome of one :func:`~repro.runtime.session.resilient_run` run."""
 
     x: np.ndarray
     execution: object  # repro.solvers.des_solver.DesExecution
     repaired: tuple[int, ...]
     residual: float
-
-
-def resilient_execute(
-    lower: CscMatrix,
-    b,
-    dist,
-    machine,
-    design,
-    *,
-    plan=None,
-    recovery: RecoveryPolicy | None = None,
-    watchdog=None,
-    engine: str = "auto",
-    trace_enabled: bool = True,
-) -> ResilientResult:
-    """Deprecated shim: use :func:`repro.runtime.session.resilient_run`
-    (or a configured :class:`~repro.runtime.session.SolverSession`).
-
-    The pipeline body moved to the runtime facade; this wrapper emits
-    the documented ``repro.runtime shim`` DeprecationWarning and
-    delegates unchanged.  Scheduled for removal in
-    :data:`repro.runtime.shims.DEFAULT_REMOVAL_VERSION` (2.0.0).
-    """
-    from repro.runtime.session import resilient_run
-    from repro.runtime.shims import shim_warn
-
-    shim_warn(
-        "repro.resilience.recovery.resilient_execute",
-        "repro.runtime.resilient_run",
-    )
-    return resilient_run(
-        lower,
-        b,
-        dist,
-        machine,
-        design,
-        plan=plan,
-        recovery=recovery,
-        watchdog=watchdog,
-        engine=engine,
-        trace_enabled=trace_enabled,
-    )

@@ -16,7 +16,6 @@ from repro.runtime.config import (
     load_run_config,
 )
 from repro.runtime.session import SessionResult, SolverSession, resilient_run
-from repro.runtime.shims import SHIM_PREFIX, shim_warn
 
 __all__ = [
     "RunConfig",
@@ -26,6 +25,4 @@ __all__ = [
     "resilient_run",
     "VALID_DISTRIBUTIONS",
     "VALID_SCHEDULERS",
-    "SHIM_PREFIX",
-    "shim_warn",
 ]

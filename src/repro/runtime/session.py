@@ -20,10 +20,7 @@ same matrix never rebuild the structure — the ``build_counts`` /
 ``hits`` accounting on :class:`~repro.exec_model.artefacts.AnalysisArtefacts`
 makes this testable.
 
-:func:`resilient_run` is the functional core of the resilience pipeline
-(moved here from ``repro.resilience.recovery``;
-:func:`~repro.resilience.recovery.resilient_execute` remains as a
-deprecation shim).
+:func:`resilient_run` is the functional core of the resilience pipeline.
 """
 
 from __future__ import annotations
@@ -201,7 +198,6 @@ class SolverSession:
             trace_enabled=self.config.trace_enabled,
             engine=self.config.engine,
             stale=self.config.build_stale_policy(),
-            epoch_lookahead=self.config.epoch_lookahead,
         )
 
     def simulate(self, lower):
@@ -254,7 +250,6 @@ class SolverSession:
             recovery=recovery,
             watchdog=cfg.build_watchdog(),
             stale=cfg.build_stale_policy(),
-            epoch_lookahead=cfg.epoch_lookahead,
         )
         x = ex.x
         repaired: list[int] = []

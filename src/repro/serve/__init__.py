@@ -12,7 +12,7 @@ solve to a *service* of concurrent solves:
 * :mod:`repro.serve.breaker` — per-(matrix, config) circuit breakers
   over structural failures;
 * :mod:`repro.serve.degrade` — the graceful-degradation ladder (exact →
-  engine fallback → certified stale → estimate-only);
+  certified stale → estimate-only);
 * :mod:`repro.serve.workers` — inline/process worker pools with
   spill-based artefact handoff and crash translation;
 * :mod:`repro.serve.service` — the asyncio session server tying it all

@@ -11,9 +11,6 @@ than the one above, each with a defined result contract:
 rung                  contract
 ====================  =====================================================
 ``exact``             the configured pipeline, bitwise-reproducible
-``engine_fallback``   same solve on the scalar ``array`` interpreter —
-                      engines are bit-identical, so still an exact result
-                      (sheds the epoch compiler, not precision)
 ``stale``             ``stale_sync`` overlay with the ladder's certified
                       residual ceiling: the validation pass replays every
                       above-ceiling stale read, so the response carries
@@ -46,7 +43,6 @@ class DegradeMode(str, Enum):
     """The ladder's rungs, in strictly decreasing fidelity."""
 
     EXACT = "exact"
-    ENGINE_FALLBACK = "engine_fallback"
     STALE = "stale"
     ESTIMATE = "estimate"
 
@@ -57,7 +53,6 @@ class DegradeMode(str, Enum):
 #: Ladder order, top (full fidelity) to bottom (estimate-only).
 LADDER = (
     DegradeMode.EXACT,
-    DegradeMode.ENGINE_FALLBACK,
     DegradeMode.STALE,
     DegradeMode.ESTIMATE,
 )
@@ -84,11 +79,6 @@ class DegradationLadder:
         """Can ``config`` be degraded onto ``mode``'s rung at all?"""
         if mode is DegradeMode.EXACT or mode is DegradeMode.ESTIMATE:
             return True
-        if mode is DegradeMode.ENGINE_FALLBACK:
-            # The scalar array interpreter is the fallback target; a
-            # config already pinned to a scalar engine has nothing to
-            # fall back from.
-            return config.engine not in ("array", "reference")
         if mode is DegradeMode.STALE:
             # Staleness is an overlay of the read-only NVSHMEM design;
             # a config already running stale (or on a design with
@@ -113,10 +103,6 @@ class DegradationLadder:
         """The rung's executable config (``estimate`` needs no surgery —
         the worker prices instead of solving)."""
         mode = DegradeMode(mode)
-        if mode is DegradeMode.ENGINE_FALLBACK:
-            # epoch_lookahead is a vector-engine knob; the array engine
-            # rejects it, so the fallback config must drop it.
-            return replace(config, engine="array", epoch_lookahead=None)
         if mode is DegradeMode.STALE:
             return replace(
                 config,

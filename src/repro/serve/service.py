@@ -481,10 +481,6 @@ class SolveService:
         ceiling = self.ladder.certified_ceiling(mode)
         if mode is DegradeMode.EXACT:
             status, certified = "ok", True
-        elif mode is DegradeMode.ENGINE_FALLBACK:
-            # Engines are bit-identical; the fallback sheds the epoch
-            # compiler, not correctness.
-            status, certified = "degraded", True
         else:
             status = "degraded"
             certified = raw["residual"] <= ceiling

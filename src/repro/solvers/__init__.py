@@ -9,11 +9,6 @@ from repro.solvers.blocked import (
     detect_supernodes,
 )
 from repro.solvers.cusparse import CusparseCsrsv2Solver
-from repro.solvers.des_partition import (
-    execute_partitioned,
-    partition_of_gpu,
-    run_partitioned_spill,
-)
 from repro.solvers.des_solver import DesExecution, DesSolver, des_execute
 from repro.solvers.levelset import LevelSetSolver, level_schedule_time, levelset_forward
 from repro.solvers.numerics import (
@@ -46,9 +41,6 @@ __all__ = [
     "DesSolver",
     "DesExecution",
     "des_execute",
-    "execute_partitioned",
-    "partition_of_gpu",
-    "run_partitioned_spill",
     "SyncFreeSolver",
     "ThreadLevelSolver",
     "thread_level_schedule",

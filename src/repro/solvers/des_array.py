@@ -11,10 +11,8 @@ tables with generator objects), as a flat state machine instead of one
 Python generator per process:
 
 * **exact-time event calendar** — pending events live in FIFO buckets
-  keyed by timestamp (the inline form of
-  :class:`repro.engine.calendar.CalendarQueue`'s ``"fifo"`` mode): a
-  dict maps each distinct time to a list of integer tokens and a small
-  heap orders the distinct times.  The initial dispatch front (one
+  keyed by timestamp: a dict maps each distinct time to a list of
+  integer tokens and a small heap orders the distinct times.  The initial dispatch front (one
   spawn per component, launch times known upfront) is bucketed with one
   vectorised stable argsort, and every zero-delay event — waiter
   hand-overs, readiness wakes, notifier spawns — is a plain

@@ -359,20 +359,6 @@ def default_registry() -> ConformanceRegistry:
     )
     add(
         ConformanceCase(
-            "des-2gpu-vector",
-            # The batch-execution engine faces the same oracle battery
-            # as the scalar engines (small workloads exercise both the
-            # batched windows and the scalar-fallback boundary).
-            lambda: DesSolver(machine=dgx1(2), engine="vector"),
-            DesSolver,
-            max_n=300,
-            relations=("differential", "permutation", "row_scaling"),
-            design="shmem_readonly",
-            distribution="block",
-        )
-    )
-    add(
-        ConformanceCase(
             "des-2gpu-stale",
             # Stale-synchronous design: components may launch on a
             # bounded-stale partial sum; the post-hoc validation pass
@@ -408,21 +394,6 @@ def default_registry() -> ConformanceRegistry:
             # the tiered reachability rule (IB hops are legal only
             # because the cluster fabric sets ``shmem_over_fallback``).
             lambda: _cluster_des(engine="reference"),
-            DesSolver,
-            max_n=300,
-            relations=("differential", "permutation", "row_scaling"),
-            design="shmem_readonly",
-            distribution="hierarchical",
-        )
-    )
-    add(
-        ConformanceCase(
-            "des-cluster-2x2-vector",
-            # The epoch-compiled engine must stay bit-identical to the
-            # reference generators on the multi-node fabric too — the
-            # tier metadata prices inter-node edges but never changes
-            # the arithmetic.
-            lambda: _cluster_des(engine="vector"),
             DesSolver,
             max_n=300,
             relations=("differential", "permutation", "row_scaling"),

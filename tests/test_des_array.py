@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.dag import build_dag
-from repro.errors import SimulationError, SolverError
+from repro.errors import ConfigurationError, SimulationError, SolverError
 from repro.exec_model.costmodel import Design
 from repro.machine.node import dgx1
 from repro.solvers.des_array import ARRAY_MIN_COMPONENTS
@@ -118,8 +118,10 @@ class TestEngineSelection:
         assert resolve_engine("array", 1) == "array"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(SolverError, match="unknown DES engine"):
-            resolve_engine("vectorised", 100)
+        # The retired epoch-compiled engine's name is rejected too.
+        for engine in ("vectorised", "vector"):
+            with pytest.raises(ConfigurationError, match="valid choices"):
+                resolve_engine(engine, 100)
 
     def test_array_forced_below_threshold_still_identical(self):
         _, gen = GENERATORS[0]

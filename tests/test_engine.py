@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.calendar import CalendarQueue
 from repro.engine.des import Simulator
 from repro.engine.events import Acquire, Release, Signal, Timeout, Wait
 from repro.engine.resources import Resource, ResourceBank
@@ -307,186 +306,6 @@ class TestMonotonicSequence:
     def test_advance_rejects_negative(self):
         with pytest.raises(ValueError):
             MonotonicSequence().advance(-1)
-
-
-class TestCalendarQueue:
-    def test_fifo_tie_order(self):
-        q = CalendarQueue()
-        for payload in ("a", "b", "c"):
-            q.push(1.0, payload)
-        q.push(0.5, "early")
-        assert [q.pop() for _ in range(4)] == [
-            (0.5, "early"), (1.0, "a"), (1.0, "b"), (1.0, "c"),
-        ]
-
-    def test_push_while_draining_same_time(self):
-        q = CalendarQueue()
-        q.push(1.0, "a")
-        assert q.pop() == (1.0, "a")
-        q.push(1.0, "b")  # appended to the bucket being drained
-        q.push(2.0, "later")
-        assert q.pop() == (1.0, "b")
-        assert q.pop() == (2.0, "later")
-
-    def test_pop_empty_raises(self):
-        q = CalendarQueue()
-        with pytest.raises(IndexError):
-            q.pop()
-        q.push(1.0, "x")
-        q.pop()
-        with pytest.raises(IndexError):
-            q.pop()
-
-    def test_bulk_push_matches_sequential(self):
-        times = np.array([3.0, 1.0, 3.0, 2.0, 1.0])
-        payloads = np.arange(5)
-        bulk = CalendarQueue()
-        bulk.bulk_push(times, payloads)
-        seq = CalendarQueue()
-        order = np.argsort(times, kind="stable")
-        for t, p in zip(times[order], payloads[order]):
-            seq.push(float(t), int(p))
-        drained = [bulk.pop() for _ in range(5)]
-        assert drained == [seq.pop() for _ in range(5)]
-        assert drained == [(1.0, 1), (1.0, 4), (2.0, 3), (3.0, 0), (3.0, 2)]
-
-    def test_pop_bucket_transfers_ownership(self):
-        q = CalendarQueue()
-        q.bulk_push(np.array([1.0, 1.0, 2.0]), np.array([10, 11, 20]))
-        t, bucket = q.pop_bucket()
-        assert (t, bucket) == (1.0, [10, 11])
-        bucket.append(12)  # caller-side same-time append, engine style
-        assert len(q) == 1
-        assert q.pop_bucket() == (2.0, [20])
-        assert not q
-
-    def test_heap_mode_accepts_out_of_order_pushes(self):
-        q = CalendarQueue(mode="heap")
-        q.push(5.0, "late")
-        q.push(1.0, "early")
-        q.push(1.0, "early-2")
-        assert q.pop() == (1.0, "early")
-        q.push(0.5, "past")  # before the last popped time: heap mode only
-        assert q.pop() == (0.5, "past")
-        assert q.pop() == (1.0, "early-2")
-        assert q.pop() == (5.0, "late")
-
-    def test_heap_mode_rejects_pop_bucket(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(mode="heap").pop_bucket()
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(mode="banana")
-
-    def test_peek_and_len(self):
-        q = CalendarQueue()
-        assert q.peek() is None
-        q.push(2.0, "b")
-        q.push(1.0, "a")
-        assert q.peek() == (1.0, "a")
-        assert len(q) == 2 and bool(q)
-
-
-class TestDrainTimeBatch:
-    """``drain_time_batch``: the batch engines' atomic window drain."""
-
-    @given(
-        events=st.lists(
-            st.tuples(
-                st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5]),
-                st.integers(min_value=0, max_value=99),
-            ),
-            min_size=1,
-            max_size=60,
-        ),
-        mode=st.sampled_from(["fifo", "heap"]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_batch_drain_equals_repeated_pop(self, events, mode):
-        """One drain_time_batch == the run of pops at that timestamp.
-
-        The fifo contract requires pushes at ``time >= now``; pushing
-        the whole schedule before the first pop satisfies it for any
-        push order, and heap mode accepts any order by construction.
-        """
-        batched = CalendarQueue(mode=mode)
-        popped = CalendarQueue(mode=mode)
-        for t, payload in events:
-            batched.push(t, payload)
-            popped.push(t, payload)
-        drained = 0
-        while batched:
-            t, batch = batched.drain_time_batch()
-            assert isinstance(batch, np.ndarray)
-            for expect in batch.tolist():
-                tp, payload = popped.pop()
-                assert tp == t
-                assert payload == expect
-            assert popped.peek() is None or popped.peek()[0] > t
-            drained += len(batch)
-        assert drained == len(events)
-        assert not popped
-
-    @given(
-        times=st.lists(
-            st.floats(
-                min_value=0.0,
-                max_value=10.0,
-                allow_nan=False,
-                allow_infinity=False,
-            ),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_bulk_push_then_batch_drain_is_time_sorted(self, times):
-        q = CalendarQueue()
-        q.bulk_push(np.array(times), np.arange(len(times)))
-        seen = []
-        while q:
-            t, batch = q.drain_time_batch()
-            seen.append((t, len(batch)))
-        drained_times = [t for t, _ in seen]
-        assert drained_times == sorted(set(float(t) for t in times))
-        assert sum(c for _, c in seen) == len(times)
-
-    def test_snapshot_semantics_same_time_repush(self):
-        """Unlike pop_bucket, the drained batch is a snapshot: a later
-        push at the drained timestamp opens a fresh bucket."""
-        q = CalendarQueue()
-        q.push(1.0, 10)
-        q.push(1.0, 11)
-        t, batch = q.drain_time_batch()
-        assert t == 1.0 and batch.tolist() == [10, 11]
-        q.push(1.0, 12)  # same timestamp, after the snapshot
-        t2, batch2 = q.drain_time_batch()
-        assert t2 == 1.0 and batch2.tolist() == [12]
-        assert not q
-
-    def test_partial_pop_then_batch_drains_remainder(self):
-        q = CalendarQueue()
-        for payload in (1, 2, 3):
-            q.push(2.0, payload)
-        assert q.pop() == (2.0, 1)
-        t, batch = q.drain_time_batch()
-        assert t == 2.0 and batch.tolist() == [2, 3]
-
-    def test_empty_raises(self):
-        for mode in ("fifo", "heap"):
-            with pytest.raises(IndexError):
-                CalendarQueue(mode=mode).drain_time_batch()
-
-    def test_heap_mode_orders_by_time_then_insertion(self):
-        q = CalendarQueue(mode="heap")
-        q.push(3.0, 30)
-        q.push(1.0, 10)
-        q.push(1.0, 11)
-        t, batch = q.drain_time_batch()
-        assert t == 1.0 and batch.tolist() == [10, 11]
-        assert q.drain_time_batch() == (3.0, np.array([30]))
-
 
 
 class TestResourceBank:

@@ -17,12 +17,10 @@ import inspect
 
 import pytest
 
-import repro.engine.epoch as epoch
 import repro.engine.protocol as protocol
 import repro.resilience.faults as faults
 import repro.solvers.des_array as des_array
 import repro.solvers.des_solver as des_solver
-import repro.solvers.des_vector as des_vector
 from repro.engine.protocol import (
     ALL_TRACE_KINDS,
     COMPONENT_LIFECYCLE,
@@ -39,8 +37,6 @@ from repro.engine.protocol import (
 ENGINE_MODULES = {
     "des_solver": des_solver,
     "des_array": des_array,
-    "des_vector": des_vector,
-    "epoch": epoch,
 }
 
 
@@ -108,10 +104,7 @@ def test_engine_bindings_are_protocol_objects(mod_name):
         if getattr(module, name) != value:
             mismatched.append(name)
     assert not mismatched, f"{mod_name} binds forked values: {mismatched}"
-    if mod_name != "des_vector":
-        # The vector front end is a pure delegation boundary: it owns
-        # no protocol logic, so binding zero constants is the point.
-        assert bound > 0, f"{mod_name} binds no protocol constants at all"
+    assert bound > 0, f"{mod_name} binds no protocol constants at all"
 
 
 def test_engine_functions_are_protocol_functions():

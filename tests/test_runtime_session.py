@@ -26,7 +26,6 @@ from repro.exec_model.artefacts import get_artefacts
 from repro.exec_model.costmodel import Design
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
 from repro.runtime import (
-    SHIM_PREFIX,
     RunConfig,
     SessionResult,
     SolverSession,
@@ -196,6 +195,8 @@ def test_configuration_error_is_solver_and_value_error():
         ({"plan": {"specs": [{"rate": 0.1}]}}, "needs a 'kind'"),
         ({"plan": {"specs": [{"kind": "meteor"}]}}, "unknown fault kind"),
         ({"watchdog": {"deadline": 2.0}}, "unknown watchdog key"),
+        # The retired epoch-engine knob gets the typed error too.
+        ({"epoch_lookahead": 0.5}, "unknown RunConfig key.*valid keys"),
     ],
 )
 def test_from_mapping_rejects_unknown_keys(mapping, needle):
@@ -253,24 +254,8 @@ def test_to_mapping_round_trips():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims.
+# The functional core.
 # ---------------------------------------------------------------------------
-def test_resilient_execute_shim_warns(system):
-    from repro.machine.node import dgx1
-    from repro.resilience.recovery import resilient_execute
-    from repro.tasks.schedule import block_distribution
-
-    lower, b, _ = system
-    machine = dgx1(2)
-    dist = block_distribution(lower.shape[0], 2)
-    with pytest.warns(DeprecationWarning, match=SHIM_PREFIX):
-        res = resilient_execute(
-            lower, b, dist, machine, Design.SHMEM_READONLY,
-            engine="reference",
-        )
-    assert residual_norm(lower, res.x, b) <= 1e-8
-
-
 def test_resilient_run_does_not_warn(system):
     from repro.machine.node import dgx1
     from repro.tasks.schedule import block_distribution

@@ -48,7 +48,6 @@ def deadlock_config(**overrides) -> RunConfig:
     base = dict(
         plan=FaultPlan.single(FaultKind.MSG_DROP, seed=5, rate=1.0),
         recovery=RecoveryPolicy(retry=False),
-        engine="vector",
         watchdog_stall_horizon=10.0,
     )
     base.update(overrides)
@@ -162,24 +161,14 @@ class TestCircuitBreaker:
 # Degradation ladder
 # ---------------------------------------------------------------------------
 class TestDegradationLadder:
-    def test_full_walk_from_vector_shmem(self):
+    def test_full_walk_from_shmem(self):
         ladder = DegradationLadder()
-        cfg = RunConfig(engine="vector")
-        assert ladder.next_mode(DegradeMode.EXACT, cfg) is (
-            DegradeMode.ENGINE_FALLBACK
-        )
-        assert ladder.next_mode(DegradeMode.ENGINE_FALLBACK, cfg) is (
-            DegradeMode.STALE
-        )
+        cfg = RunConfig()
+        assert ladder.next_mode(DegradeMode.EXACT, cfg) is DegradeMode.STALE
         assert ladder.next_mode(DegradeMode.STALE, cfg) is (
             DegradeMode.ESTIMATE
         )
         assert ladder.next_mode(DegradeMode.ESTIMATE, cfg) is None
-
-    def test_array_engine_skips_fallback_rung(self):
-        ladder = DegradationLadder()
-        cfg = RunConfig(engine="array")
-        assert ladder.next_mode(DegradeMode.EXACT, cfg) is DegradeMode.STALE
 
     def test_stale_design_skips_stale_rung(self):
         ladder = DegradationLadder()
@@ -189,13 +178,6 @@ class TestDegradationLadder:
         assert ladder.next_mode(DegradeMode.EXACT, cfg) is (
             DegradeMode.ESTIMATE
         )
-
-    def test_fallback_config_drops_epoch_lookahead(self):
-        ladder = DegradationLadder()
-        cfg = RunConfig(engine="vector", epoch_lookahead=0.5)
-        derived = ladder.derive_config(cfg, DegradeMode.ENGINE_FALLBACK)
-        assert derived.engine == "array"
-        assert derived.epoch_lookahead is None
 
     def test_stale_config_is_valid_and_certifiable(self):
         ladder = DegradationLadder(stale_k=2, stale_ceiling=1e-8)
@@ -226,7 +208,7 @@ class TestFingerprints:
 
     def test_round_trip_preserves_fingerprint(self):
         cfg = RunConfig(
-            engine="vector",
+            engine="reference",
             plan=FaultPlan.single(FaultKind.BITFLIP, bit=30),
             recovery=RecoveryPolicy(residual_ceiling=1e-10),
             stale_k=None,
@@ -496,11 +478,13 @@ class TestSolveServiceEndToEnd:
 
         async def run():
             async with SolveService(breaker_threshold=2) as svc:
-                await svc.submit(
-                    SolveRequest(
-                        config=cfg, workload=WORKLOAD, allow_degraded=True
+                # Each deadlocking request records one breaker failure.
+                for _ in range(2):
+                    await svc.submit(
+                        SolveRequest(
+                            config=cfg, workload=WORKLOAD, allow_degraded=True
+                        )
                     )
-                )
                 with pytest.raises(CircuitOpenError) as ei:
                     await svc.submit(
                         SolveRequest(
@@ -526,11 +510,12 @@ class TestSolveServiceEndToEnd:
 
         async def run():
             async with SolveService(breaker_threshold=2) as svc:
-                await svc.submit(
-                    SolveRequest(
-                        config=cfg, workload=WORKLOAD, allow_degraded=True
+                for _ in range(2):
+                    await svc.submit(
+                        SolveRequest(
+                            config=cfg, workload=WORKLOAD, allow_degraded=True
+                        )
                     )
-                )
                 # The healthy config shares the matrix but not the key:
                 # its breaker stays closed and it solves exactly.
                 healthy = await svc.submit(

@@ -6,10 +6,10 @@ post-hoc validation pass detects stale reads whose backward error
 exceeds the policy ceiling and replays their forward closure.  The
 ``costaware`` distribution assigns contiguous tasks to GPUs by estimated
 solve + gather + edge cost (greedy LPT).  Both are protocol-core
-features interpreted by all three DES engines, so this battery holds
+features interpreted by both DES engines, so this battery holds
 them to the same contracts as the strict designs:
 
-* three-engine bit-equality of the solution, trace stream, clock, and
+* reference/array bit-equality of the solution, trace stream, clock, and
   event count;
 * property tests (hypothesis): the staleness bound is never exceeded,
   and every above-ceiling stale solve is followed by a replay chain that
@@ -66,7 +66,7 @@ pytestmark = pytest.mark.staledesign
 
 GOLDEN = Path(__file__).parent / "golden" / "stale_causality_cases.json"
 
-ENGINES = ("reference", "array", "vector")
+ENGINES = ("reference", "array")
 
 
 def _stale_run(lower, b, n_gpus=2, engine="reference", stale=None, dist=None):
@@ -130,7 +130,7 @@ class TestStalePolicy:
 
 
 # ======================================================================
-# three-engine bit-equality
+# reference/array bit-equality
 # ======================================================================
 class TestEngineParity:
     @pytest.mark.parametrize(

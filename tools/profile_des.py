@@ -12,8 +12,8 @@ through a chosen engine and reports
 * the same table as JSON (``--json``) for trend tooling.
 
     python tools/profile_des.py --engine array --case des-medium-8k
-    python tools/profile_des.py --engine vector --n 20000 --top 40
-    python tools/profile_des.py --engine epoch --case scale-50k \\
+    python tools/profile_des.py --engine array --n 20000 --top 40
+    python tools/profile_des.py --engine array --case scale-50k \\
         --json PROF_des.json
     python tools/profile_des.py --config '{"engine": "array", "n_gpus": 8}'
 

@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
-"""Parallel DES engine sweep: reference engine vs array/vector fast paths.
+"""Parallel DES engine sweep: reference engine vs the array fast path.
 
 Fans the benchmark cases out across cores with a process pool (analysis
 artefacts are spilled once by the parent and loaded by the workers),
 verifies bit-identical traces/solutions/counters per case, times the
-selected engines plus the partitioned parallel playout, runs the
-multi-node scale-out rows (64-256 simulated GPUs, flat taskpool vs
-hierarchical placement across the IB tier), and writes
+engines, runs the multi-node scale-out rows (64-256 simulated GPUs,
+flat taskpool vs hierarchical placement across the IB tier), and writes
 ``BENCH_des.json``.
 
     python tools/sweep.py                    # full sweep incl. scale cases
     python tools/sweep.py --quick            # CI subset (small/medium)
-    python tools/sweep.py --engines vector   # time only the vector engine
     python tools/sweep.py --repeats 5 --jobs 2 --out results.json
     python tools/sweep.py --config '{"design": "unified", "n_gpus": 8}'
 
 ``--config`` takes a :class:`repro.runtime.RunConfig` JSON object (or
 ``@path/to/file.json``); its ``design`` and ``n_gpus`` knobs select the
 simulated node every case is measured on.  ``--engines`` takes a
-comma-separated subset of the fast engines (``array``, ``vector``);
+comma-separated subset of the fast engines (only ``array``);
 unknown names raise a :class:`~repro.errors.ConfigurationError` listing
 the valid ones.
 
@@ -75,17 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         f"(subset of: {', '.join(SWEEP_ENGINES)})",
     )
     parser.add_argument(
-        "--no-partitioned",
-        action="store_true",
-        help="skip the partitioned parallel playout measurement",
-    )
-    parser.add_argument(
-        "--partition-workers",
-        type=int,
-        default=2,
-        help="worker processes for the partitioned playout (default: 2)",
-    )
-    parser.add_argument(
         "--no-scale-out",
         action="store_true",
         help="skip the multi-node scale-out rows (64-256 simulated GPUs)",
@@ -100,8 +87,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--repeats must be at least 1")
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    if args.partition_workers < 1:
-        parser.error("--partition-workers must be at least 1")
 
     from repro.errors import ConfigurationError
     from repro.runtime import load_run_config
@@ -131,28 +116,22 @@ def main(argv: list[str] | None = None) -> int:
         n_gpus=cfg.n_gpus,
         design=cfg.design,
         engines=engines,
-        partitioned=not args.no_partitioned,
-        partition_workers=args.partition_workers,
         scale_out=not args.no_scale_out,
     )
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     hdr = (
         f"{'case':>15} {'n':>8} {'events':>9} {'ref-s':>8} {'arr-s':>8} "
-        f"{'vec-s':>8} {'part-s':>8} {'speedup':>8}  ok"
+        f"{'speedup':>8}  ok"
     )
     print(hdr)
     print("-" * len(hdr))
     for c in payload["cases"]:
-        ok = c["identical"] and c["identical_vector"]
-        if c.get("partition_identical") is False:
-            ok = False
         print(
             f"{c['name']:>15} {c['n']:>8} {c['events']:>9} "
             f"{_fmt(c['t_reference'], 8)} {_fmt(c['t_array'], 8)} "
-            f"{_fmt(c['t_vector'], 8)} {_fmt(c.get('t_partitioned'), 8)} "
             f"{_fmt(c['speedup'], 7, 2)}x  "
-            f"{'yes' if ok else 'MISMATCH'}"
+            f"{'yes' if c['identical'] else 'MISMATCH'} ({c['verified']})"
         )
     if payload.get("scale_out"):
         so_hdr = (
@@ -177,9 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     if not payload["all_identical"]:
         print("FAIL: a fast engine diverged from the reference engine")
         return 1
-    if not payload["partition_identical"]:
-        print("FAIL: partitioned playout diverged from the sequential run")
-        return 1
     if not payload.get("scaleout_identical", True):
         print("FAIL: engines diverged on a multi-node scale-out row")
         return 1
@@ -199,19 +175,6 @@ def main(argv: list[str] | None = None) -> int:
             f"acceptance {acc['case']}: "
             f"{'n/a' if sp is None else f'{sp:.2f}x'} "
             f"(floor {acc['floor']}x) -> {'met' if acc['met'] else 'missed'}"
-        )
-    vt = payload["vector_target"]
-    if vt is not None:
-        print(
-            f"vector target {vt['case']}: {vt['ratio']:.2f}x over array "
-            f"(target {vt['target']}x) -> {'met' if vt['met'] else 'missed'}"
-        )
-    pt = payload.get("partition_target")
-    if pt is not None:
-        print(
-            f"partition target {pt['case']}: {pt['ratio']:.2f}x over array "
-            f"with {pt['workers']} workers (target >{pt['target']}x) -> "
-            f"{'met' if pt['met'] else 'missed'}"
         )
     tt = payload.get("throughput_target")
     if tt is not None:
