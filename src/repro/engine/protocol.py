@@ -61,7 +61,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, RecoveryExhaustedError, SolverError
+from repro.errors import (
+    ConfigurationError,
+    DeadlockError,
+    RecoveryExhaustedError,
+    SolverError,
+)
 from repro.exec_model.costmodel import CommCosts, Design
 
 __all__ = [
@@ -153,6 +158,7 @@ __all__ = [
     "missing_diagonal",
     "validate_diagonals",
     "frontier_diagnostics",
+    "starved_run",
     # parity-check manifest
     "PROTOCOL_CONSTANTS",
 ]
@@ -871,6 +877,32 @@ def frontier_diagnostics(components, gpu_of) -> dict:
         ],
         "frontier_by_gpu": by_gpu,
     }
+
+
+def starved_run(
+    now: float, events_processed: int, unsatisfied: int
+) -> DeadlockError:
+    """The shared error for a run that drained with dependencies unmet
+    but nobody waiting.
+
+    Under stale-sync every component may leave its readiness park with
+    contributions still missing, so a starved run (say, every message
+    dropped) ends with an empty calendar and no waiter to name.  It is
+    the same structural failure as a strict-design deadlock, so both
+    engines raise the same typed :class:`~repro.errors.DeadlockError`,
+    with ``blocked={}`` and the clock, event count and number of
+    components still missing a contribution as diagnostics.
+    """
+    return DeadlockError(
+        f"DES run finished with unsatisfied dependencies: {unsatisfied} "
+        f"components still missing contributions at t={now!r}",
+        blocked={},
+        diagnostics={
+            "now": now,
+            "events_processed": events_processed,
+            "unsatisfied": unsatisfied,
+        },
+    )
 
 
 def validate_diagonals(indptr: np.ndarray, indices: np.ndarray, n: int) -> None:

@@ -33,6 +33,7 @@ import os
 import signal
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 from repro.errors import ConfigurationError, WorkerCrashError
 
@@ -91,7 +92,9 @@ def solve_job(payload: dict) -> dict:
 
     lower = _resolve_matrix(payload)
     n = lower.shape[0]
-    config = payload["config"]
+    # The response carries no trace, so none is recorded: trace-off
+    # playouts of the non-unified designs run on the compiled drain.
+    config = replace(payload["config"], trace_enabled=False)
     session = SolverSession(config)
     if payload["mode"] == "estimate":
         report = session.simulate(lower)

@@ -31,6 +31,24 @@ Python generator per process:
   hoists the bank's parallel lists into locals and runs the
   grant/hand-over protocol inline.
 
+Two drains
+----------
+The tables are built once, as NumPy arrays (:func:`_build_tables`), and
+drained by one of two loops that end in one shared tail
+(:func:`_finish`: the typed deadlock / starvation errors and the
+counters):
+
+* the **compiled drain** — ``des_array_kernel.c``, built on first use
+  and loaded by :mod:`repro.solvers.des_array_kernel` — runs whenever a
+  run is trace-off, fault-free (no active injector), not on the unified
+  design and has no watchdog.  It receives the tables as pointers;
+* the **Python drain** (:func:`_drain_python`) runs every other run
+  (traces, faults, the unified page table, a watchdog), and every run
+  on a host where the kernel cannot be built.  It alone converts the
+  tables to lists.
+
+The choice follows from the run's own inputs; there is no option.
+
 Bit-equality contract
 ---------------------
 The array engine must be *indistinguishable* from the reference engine:
@@ -45,7 +63,15 @@ counts.  Two invariants carry the proof:
    appended to a bucket therefore always carries a larger sequence
    number than every token already in it — insertion order within an
    exact timestamp reproduces the reference heap's pop order without
-   materialising sequence numbers.
+   materialising sequence numbers.  The compiled drain keeps a heap
+   keyed ``(time, seq)`` for pushes at ``t2 > now`` and a FIFO for
+   pushes at ``t2 <= now``, and at each time drains the heap's due
+   entries first, then the FIFO.  That is the same order: every heap
+   entry due at ``now`` was pushed while the clock was still earlier —
+   before any FIFO push at ``now`` — and is exactly the bucket's
+   content when the Python drain opens it; the FIFO holds, in push
+   order, what the Python drain appends to that bucket while draining
+   it.
 2. *Identical IEEE-754 operation chains.*  Every event time and value
    is produced by the same sequence of binary64 operations the
    reference generators execute (NumPy float64 and Python floats share
@@ -53,7 +79,8 @@ counts.  Two invariants carry the proof:
    ties and differ exactly where it doesn't.
 
 ``tests/test_des_array.py`` enforces the contract over every workload
-generator; the causality checker replays the traces against machine
+generator, ``tests/test_des_kernel.py`` holds the two drains to each
+other; the causality checker replays the traces against machine
 physics.
 """
 
@@ -61,6 +88,7 @@ from __future__ import annotations
 
 import gc
 from heapq import heappop, heappush
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -106,17 +134,19 @@ from repro.engine.protocol import (
     link_capacity,
     remap_plan,
     solve_cost_table,
+    starved_run,
     validate_diagonals,
     wake_threshold,
     wire_time,
 )
 from repro.engine.resources import ResourceBank
 from repro.engine.trace import Trace
-from repro.errors import DeadlockError, SimulationError, SolverError
+from repro.errors import DeadlockError, SimulationError
 from repro.exec_model.costmodel import CommCosts, Design
 from repro.machine.node import MachineConfig
 from repro.machine.unified import UnifiedMemory
 from repro.resilience.faults import flip_mantissa_bit
+from repro.solvers import des_array_kernel
 from repro.sparse.csc import CscMatrix
 from repro.tasks.schedule import Distribution
 
@@ -154,49 +184,68 @@ def execute_array(
     resilience hooks (see :func:`repro.solvers.des_solver.des_execute`);
     with a null/absent plan every instrumented branch is dead and the
     playout is bit-identical to the un-instrumented engine.
+
+    A trace-off, fault-free, non-unified run without a watchdog drains
+    in the compiled kernel (:mod:`repro.solvers.des_array_kernel`) when
+    it is available; every other run, and every run on a host where the
+    kernel cannot be built, drains in Python.
     """
+    # Read at call time: tests patch the in-flight cap on des_solver.
     from repro.solvers.des_solver import MESSAGES_IN_FLIGHT_PER_LINK
 
+    unified = design_hooks(design).page_table
+    faulty = injector is not None and injector.active
+    # The reference engine discovers a missing diagonal when the solve
+    # front reaches the column; with the whole structure in hand the
+    # array engine can reject it upfront (identical error either way).
+    validate_diagonals(lower.indptr, lower.indices, lower.shape[0])
+    t = _build_tables(
+        lower, b, dist, machine, dag=dag, costs=costs, unified=unified,
+        max_events=max_events, stale=stale,
+        in_flight=MESSAGES_IN_FLIGHT_PER_LINK,
+    )
+    fn = None
+    if not (trace_enabled or faulty or unified or watchdog is not None):
+        fn = des_array_kernel.kernel()
+    if fn is not None:
+        drained = _drain_compiled(fn, t)
+    else:
+        drained = _drain_python(
+            t, lower, machine, costs,
+            unified=unified, trace_enabled=trace_enabled,
+            injector=injector, recovery=recovery, watchdog=watchdog,
+        )
+    return _finish(t, drained)
+
+
+def _budget_exhausted(max_events: int) -> SimulationError:
+    return SimulationError(f"event budget {max_events} exhausted (livelock?)")
+
+
+def _build_tables(
+    lower: CscMatrix,
+    b: np.ndarray,
+    dist: Distribution,
+    machine: MachineConfig,
+    *,
+    dag: DependencyDag,
+    costs: CommCosts,
+    unified: bool,
+    max_events: int,
+    stale,
+    in_flight: int,
+) -> SimpleNamespace:
+    """Vectorised precompute: per-warp and per-edge cost tables (NumPy)."""
     n = lower.shape[0]
     n_gpus = machine.n_gpus
     gpu_spec = machine.gpu
-    unified = design_hooks(design).page_table
-    # Stale-sync: the ready park releases once at most ``wake_at``
-    # contributions are missing (0 = fully synchronous); the caller
-    # (``des_execute``) owns the post-hoc validation pass.
-    wake_at = wake_threshold(stale)
     topo = machine.topology
     phys = machine.active_gpus
-
-    faulty = injector is not None and injector.active
-    link_faulty = faulty and injector.has_link_faults
-    delivery_faulty = faulty and injector.has_delivery_faults
-    straggler_faulty = faulty and injector.has_stragglers
-    failure_mode = faulty and injector.has_gpu_failures
-
-    # ----------------------------------------------------------------
-    # Vectorised precompute: per-warp and per-edge cost tables.
-    # ----------------------------------------------------------------
     indptr = lower.indptr
     gpu_of = dist.gpu_of
     in_counts = np.diff(dag.in_ptr)
     col_nnz = np.diff(indptr)
     nnz = int(indptr[-1])
-
-    # The reference engine discovers a missing diagonal when the solve
-    # front reaches the column; with the whole structure in hand the
-    # array engine can reject it upfront (identical error either way).
-    validate_diagonals(indptr, lower.indices, n)
-
-    indptr_l = indptr.tolist()
-    idx_l = lower.indices.tolist()
-    data_l = lower.data.tolist()
-    g_l = gpu_of.tolist()
-    b_l = np.asarray(b, dtype=np.float64).tolist()
-    remaining = dag.in_degree.tolist()
-    in_counts_l = in_counts.tolist()
-    gather_l = gather_cost_table(costs.gather, in_counts).tolist()
-    solve_l = solve_cost_table(gpu_spec.t_per_nnz, col_nnz, in_counts).tolist()
 
     # Per-entry edge tables, aligned with ``indices``/``data`` (the
     # diagonal slots carry unused values; the update loop starts past
@@ -205,29 +254,195 @@ def execute_array(
     src_g_e = gpu_of[col_of]
     dst_g_e = gpu_of[lower.indices]
     local_e = src_g_e == dst_g_e
-    srcg_l = src_g_e.tolist()
-    dstg_l = dst_g_e.tolist()
     if not unified:
         inc_e, dl_e = edge_cost_tables(costs, src_g_e, dst_g_e, local_e)
-        inc_l = inc_e.tolist()
-        dl_l = dl_e.tolist()
+    else:
+        inc_e = dl_e = None
+
+    # Pooled resources: warp-slot rows first (rid == PE rank), then one
+    # link row per directed PE pair that carries at least one edge, in
+    # ascending pair order.  Local pairs keep link row -1 and wire 0.0,
+    # so the per-edge link tables are plain lookups by pair.
+    bank = ResourceBank()
+    for g in range(n_gpus):
+        bank.add(f"gpu{g}.warps", gpu_spec.warp_slots)
+    pair_rid = np.full(n_gpus * n_gpus, -1, dtype=np.int64)
+    pair_wire = np.zeros(n_gpus * n_gpus)
+    pair_e = src_g_e * n_gpus + dst_g_e
+    cross_pairs = np.flatnonzero(
+        np.bincount(pair_e[~local_e], minlength=n_gpus * n_gpus)
+    )
+    for p in cross_pairs.tolist():
+        src_pe, dst_pe = p // n_gpus, p % n_gpus
+        ga, gb = int(phys[src_pe]), int(phys[dst_pe])
+        capacity = link_capacity(topo, ga, gb, in_flight)
+        pair_rid[p] = bank.add(f"link{src_pe}->{dst_pe}", capacity)
+        pair_wire[p] = wire_time(topo, ga, gb)
+
+    # The initial dispatch front: one spawn per component at its task's
+    # launch time, stably sorted (state COMP_ACQUIRE: the shift alone
+    # encodes the token).
+    task_of = dist.task_of()
+    launch = launch_times(dist.n_tasks, gpu_spec.t_kernel_launch)
+    spawn_times = launch[task_of]
+    order = np.argsort(spawn_times, kind="stable")
+
+    # One notifier per matrix entry.  The spawn token already encodes
+    # the edge's class — local hop or cross-GPU transfer — so a
+    # component's whole update fan-out is ingested at once.  The
+    # protocol's TokenLayout fixes the ranges.
+    layout = TokenLayout.for_system(n, nnz)
+    return SimpleNamespace(
+        n=n,
+        nnz=nnz,
+        n_gpus=n_gpus,
+        layout=layout,
+        indptr=indptr,
+        indices=lower.indices,
+        data=lower.data,
+        b=np.asarray(b, dtype=np.float64),
+        gpu_of=gpu_of,
+        remaining=dag.in_degree,
+        in_counts=in_counts,
+        gather=gather_cost_table(costs.gather, in_counts),
+        solve=solve_cost_table(gpu_spec.t_per_nnz, col_nnz, in_counts),
+        col_of=col_of,
+        src_g_e=src_g_e,
+        dst_g_e=dst_g_e,
+        inc=inc_e,
+        dl=dl_e,
+        spawn=layout.spawn_codes(local_e),
+        elink=pair_rid[pair_e],
+        ewire=pair_wire[pair_e],
+        bank=bank,
+        pair_rid=pair_rid,
+        pair_wire=pair_wire,
+        front_code=order.astype(np.int64) << COMP_SHIFT,
+        front_time=spawn_times[order],
+        # Stale-sync: the ready park releases once at most ``wake_at``
+        # contributions are missing (0 = fully synchronous); the caller
+        # (``des_execute``) owns the post-hoc validation pass.
+        wake_at=wake_threshold(stale),
+        max_events=max_events,
+        t_disp=gpu_spec.t_warp_dispatch,
+        in_flight=in_flight,
+    )
+
+
+def _drain_compiled(fn, t: SimpleNamespace) -> SimpleNamespace:
+    """Drain the tables in the compiled kernel (trace off, no faults)."""
+    out = des_array_kernel.drain(fn, t)
+    if out["status"] != des_array_kernel.DRAIN_OK:
+        raise _budget_exhausted(t.max_events)
+    return SimpleNamespace(
+        x=out["x"],
+        now=out["now"],
+        events=out["events"],
+        trace=Trace(enabled=False),
+        counters=out["counters"],
+        remaining=out["remaining"],
+        parked=out["parked"],
+        queue_lengths=out["queue_lengths"],
+        gpu_of=t.gpu_of,
+        page_faults=0,
+    )
+
+
+def _finish(
+    t: SimpleNamespace, d: SimpleNamespace
+) -> tuple[np.ndarray, float, Trace, int, int]:
+    """The shared tail: typed errors for an unfinished run, then results."""
+    remaining = np.asarray(d.remaining)
+    if remaining.any():
+        parked = np.flatnonzero(np.asarray(d.parked)).tolist()
+        stuck: dict = {repr(("ready", i)): 1 for i in parked}
+        for rid, qlen in enumerate(d.queue_lengths):
+            if qlen:
+                stuck[t.bank.names[rid]] = qlen
+        unsatisfied = int(np.count_nonzero(remaining))
+        if not stuck:
+            # A stale-sync wake lets every component leave its park, so
+            # a starved run can end with nobody waiting.
+            raise starved_run(d.now, d.events, unsatisfied)
+        diagnostics = {
+            "now": d.now,
+            "events_processed": d.events,
+            "unsatisfied": unsatisfied,
+        }
+        diagnostics.update(frontier_diagnostics(parked, d.gpu_of))
+        raise DeadlockError(
+            f"deadlock: {sum(stuck.values())} waiters with empty "
+            f"event calendar; waiters per channel: {stuck}",
+            blocked=stuck,
+            diagnostics=diagnostics,
+        )
+    trace = d.trace
+    for kind, count in d.counters.items():
+        trace.bulk_count(kind, count)
+    return d.x, d.now, trace, d.page_faults, d.events
+
+
+def _drain_python(
+    t: SimpleNamespace,
+    lower: CscMatrix,
+    machine: MachineConfig,
+    costs: CommCosts,
+    *,
+    unified: bool,
+    trace_enabled: bool,
+    injector,
+    recovery,
+    watchdog,
+) -> SimpleNamespace:
+    """Drain the tables in Python: every design, trace and fault mode."""
+    n = t.n
+    nnz = t.nnz
+    n_gpus = machine.n_gpus
+    gpu_spec = machine.gpu
+    topo = machine.topology
+    phys = machine.active_gpus
+    wake_at = t.wake_at
+    max_events = t.max_events
+    bank = t.bank
+    pair_rid = t.pair_rid
+    pair_wire = t.pair_wire
+    col_of = t.col_of
+
+    faulty = injector is not None and injector.active
+    link_faulty = faulty and injector.has_link_faults
+    delivery_faulty = faulty and injector.has_delivery_faults
+    straggler_faulty = faulty and injector.has_stragglers
+    failure_mode = faulty and injector.has_gpu_failures
+
+    indptr_l = t.indptr.tolist()
+    idx_l = t.indices.tolist()
+    data_l = t.data.tolist()
+    g_l = t.gpu_of.tolist()
+    b_l = t.b.tolist()
+    remaining = t.remaining.tolist()
+    in_counts_l = t.in_counts.tolist()
+    gather_l = t.gather.tolist()
+    solve_l = t.solve.tolist()
+    srcg_l = t.src_g_e.tolist()
+    dstg_l = t.dst_g_e.tolist()
+    if t.inc is not None:
+        inc_l = t.inc.tolist()
+        dl_l = t.dl.tolist()
     else:
         inc_l = dl_l = None
     notify_l = costs.notify.tolist()
     update_local = costs.update_local
+    elink_l = t.elink.tolist()
+    ewire_l = t.ewire.tolist()
 
-    # One notifier per matrix entry, its runtime fields (contribution
-    # value, post-transfer delay) written at solve time.  The spawn
-    # token already encodes the edge's class — local hop or cross-GPU
-    # transfer — so a component's whole update fan-out is ingested with
-    # a single slice-extend.  The protocol's TokenLayout fixes the
-    # ranges; its bases and shifts are hoisted into locals for the hot
-    # loop (the literal shift/mask constants below are the compiled form
-    # of COMP_SHIFT=3 / XFER_SHIFT=2, pinned by tests/test_protocol_parity).
-    layout = TokenLayout.for_system(n, nnz)
-    n8 = layout.local_base
-    m8 = layout.xfer_base
-    spawn_code_l = layout.spawn_codes(local_e).tolist()
+    # Notifier runtime fields (contribution value, post-transfer delay),
+    # written at solve time.  The token bases are hoisted into locals
+    # for the hot loop (the literal shift/mask constants below are the
+    # compiled form of COMP_SHIFT=3 / XFER_SHIFT=2, pinned by
+    # tests/test_protocol_parity).
+    n8 = t.layout.local_base
+    m8 = t.layout.xfer_base
+    spawn_code_l = t.spawn.tolist()
     e_contrib = [0.0] * nnz
     e_delay = [0.0] * nnz
 
@@ -240,30 +455,9 @@ def execute_array(
     e_attempt = [0] * nnz if (delivery_faulty or link_faulty) else None
     done_l = [False] * n
     dead: set = set()
-    f8 = layout.failure_base
-    gpu_np = gpu_of.copy() if failure_mode else gpu_of
+    f8 = t.layout.failure_base
+    gpu_np = t.gpu_of.copy() if failure_mode else t.gpu_of
     fail_gpu = [g for _t, g in injector.gpu_failures] if failure_mode else []
-
-    # Pooled resources: warp-slot rows first (rid == PE rank), then one
-    # link row per directed PE pair that carries at least one edge.
-    bank = ResourceBank()
-    for g in range(n_gpus):
-        bank.add(f"gpu{g}.warps", gpu_spec.warp_slots)
-    pair_rid = np.full(n_gpus * n_gpus, -1, dtype=np.int64)
-    pair_wire = np.zeros(n_gpus * n_gpus)
-    cross_pairs = np.unique(src_g_e[~local_e] * n_gpus + dst_g_e[~local_e])
-    for p in cross_pairs.tolist():
-        src_pe, dst_pe = p // n_gpus, p % n_gpus
-        ga, gb = int(phys[src_pe]), int(phys[dst_pe])
-        capacity = link_capacity(topo, ga, gb, MESSAGES_IN_FLIGHT_PER_LINK)
-        pair_rid[p] = bank.add(f"link{src_pe}->{dst_pe}", capacity)
-        pair_wire[p] = wire_time(topo, ga, gb)
-    elink_l = np.where(
-        local_e, -1, pair_rid[src_g_e * n_gpus + dst_g_e]
-    ).tolist()
-    ewire_l = np.where(
-        local_e, 0.0, pair_wire[src_g_e * n_gpus + dst_g_e]
-    ).tolist()
 
     um: UnifiedMemory | None = None
     s_left = s_indeg = None
@@ -279,19 +473,14 @@ def execute_array(
     # ----------------------------------------------------------------
     # Inline FIFO calendar: ingest the initial dispatch front.
     # ----------------------------------------------------------------
-    task_of = dist.task_of()
-    launch = launch_times(dist.n_tasks, gpu_spec.t_kernel_launch)
-    spawn_times = launch[task_of]
-    order = np.argsort(spawn_times, kind="stable")
-    # State COMP_ACQUIRE (= 0): the shift alone encodes the token.
-    codes_sorted = (order.astype(np.int64) << COMP_SHIFT).tolist()
-    uniq, starts = np.unique(spawn_times[order], return_index=True)
+    codes_sorted = t.front_code.tolist()
+    uniq, starts = np.unique(t.front_time, return_index=True)
     theap = uniq.tolist()  # ascending ⇒ already a valid heap
     bounds = starts.tolist()
     bounds.append(n)
     buckets = {
-        t: codes_sorted[bounds[j] : bounds[j + 1]]
-        for j, t in enumerate(theap)
+        tb: codes_sorted[bounds[j] : bounds[j + 1]]
+        for j, tb in enumerate(theap)
     }
     if failure_mode:
         # Failure tokens join the calendar *after* the dispatch front but
@@ -322,7 +511,7 @@ def execute_array(
 
     nevents = 0
     now = 0.0
-    t_disp = gpu_spec.t_warp_dispatch
+    t_disp = t.t_disp
 
     # Hot-loop locals: the resource bank's parallel lists are hoisted so
     # grant/hand-over run as plain list ops (stats included, matching
@@ -341,15 +530,13 @@ def execute_array(
     gc.disable()
     try:
         while theap:
-            t = heappop(theap)
-            if nevents >= max_events and t > now:
-                raise SimulationError(
-                    f"event budget {max_events} exhausted (livelock?)"
-                )
-            if watchdog is not None and t > now:
-                watchdog.check(t)
-            now = t
-            cur = buckets.pop(t)
+            tn = heappop(theap)
+            if nevents >= max_events and tn > now:
+                raise _budget_exhausted(max_events)
+            if watchdog is not None and tn > now:
+                watchdog.check(tn)
+            now = tn
+            cur = buckets.pop(tn)
             # Appends during iteration are visited: a list iterator
             # re-checks the length every step, so same-time events
             # pushed while draining still run within this bucket.
@@ -550,7 +737,7 @@ def execute_array(
                                         gb = int(phys[dp])
                                         cap = link_capacity(
                                             topo, ga, gb,
-                                            MESSAGES_IN_FLIGHT_PER_LINK,
+                                            t.in_flight,
                                         )
                                         pair_rid[p] = bank.add(
                                             f"link{sp}->{dp}", cap
@@ -830,51 +1017,33 @@ def execute_array(
         if gc_was_enabled:
             gc.enable()
 
-    if any(remaining):
-        stuck: dict = {
-            repr(("ready", i)): 1 for i in range(n) if parked_ready[i]
+    if emit is not None:
+        counters = {}
+    else:
+        counters = {
+            TRACE_DISPATCH: c_dispatch,
+            TRACE_SOLVE: c_solve,
+            TRACE_RELEASE: c_release,
+            TRACE_FAULT: c_fault,
+            TRACE_XFER_BEGIN: c_xb,
+            TRACE_XFER_END: c_xe,
+            TRACE_INJECT: c_inject,
+            TRACE_RETRY: c_retry,
+            TRACE_RECOVERED: c_recov,
+            TRACE_MSG_LOST: c_lost,
+            TRACE_GPU_FAIL: c_gfail,
+            TRACE_REMAP: c_remap,
+            TRACE_STALE_LAUNCH: c_stale,
         }
-        for rid, q in enumerate(r_q):
-            if q:
-                stuck[bank.names[rid]] = len(q)
-        if stuck:
-            diagnostics = {
-                "now": now,
-                "events_processed": nevents,
-                "unsatisfied": sum(1 for r in remaining if r),
-            }
-            diagnostics.update(
-                frontier_diagnostics(
-                    [i for i in range(n) if parked_ready[i]], gpu_np
-                )
-            )
-            raise DeadlockError(
-                f"deadlock: {sum(stuck.values())} waiters with empty "
-                f"event calendar; waiters per channel: {stuck}",
-                blocked=stuck,
-                diagnostics=diagnostics,
-            )
-        raise SolverError("DES run finished with unsatisfied dependencies")
-    if emit is None:
-        trace.bulk_count(TRACE_DISPATCH, c_dispatch)
-        trace.bulk_count(TRACE_SOLVE, c_solve)
-        trace.bulk_count(TRACE_RELEASE, c_release)
-        trace.bulk_count(TRACE_FAULT, c_fault)
-        trace.bulk_count(TRACE_XFER_BEGIN, c_xb)
-        trace.bulk_count(TRACE_XFER_END, c_xe)
-        trace.bulk_count(TRACE_INJECT, c_inject)
-        trace.bulk_count(TRACE_RETRY, c_retry)
-        trace.bulk_count(TRACE_RECOVERED, c_recov)
-        trace.bulk_count(TRACE_MSG_LOST, c_lost)
-        trace.bulk_count(TRACE_GPU_FAIL, c_gfail)
-        trace.bulk_count(TRACE_REMAP, c_remap)
-        trace.bulk_count(TRACE_STALE_LAUNCH, c_stale)
-
-    x = np.asarray(x_l, dtype=np.float64)
-    return (
-        x,
-        now,
-        trace,
-        um.fault_count if um is not None else 0,
-        nevents,
+    return SimpleNamespace(
+        x=np.asarray(x_l, dtype=np.float64),
+        now=now,
+        events=nevents,
+        trace=trace,
+        counters=counters,
+        remaining=remaining,
+        parked=parked_ready,
+        queue_lengths=[len(q) for q in r_q],
+        gpu_of=gpu_np,
+        page_faults=um.fault_count if um is not None else 0,
     )

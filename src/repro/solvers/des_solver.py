@@ -70,6 +70,7 @@ from repro.engine.protocol import (
     resolve_stale_policy,
     solve_cost,
     stale_validation_times,
+    starved_run,
     validate_fabric_reach,
     wake_threshold,
     wire_time,
@@ -534,7 +535,7 @@ def des_execute(
 
     events = sim.run()
     if np.any(remaining != 0):
-        raise SolverError("DES run finished with unsatisfied dependencies")
+        raise starved_run(sim.now, events, int(np.count_nonzero(remaining)))
     return _finish(
         x,
         sim.now,

@@ -3,7 +3,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from repro.bench import dessweep
 from repro.bench.dessweep import measure_des_case, run_des_sweep
@@ -89,10 +88,8 @@ class TestMeasureCase:
         assert res["enforce_floor"] is False  # tiny: below MEDIUM_N
 
     def test_array_only_engine_selection(self):
-        payload = run_des_sweep(
-            cases={"tiny": TINY}, repeats=1, jobs=1, engines=("array",)
-        )
-        assert payload["engines"] == ["array"]
+        payload = run_des_sweep(cases={"tiny": TINY}, repeats=1, jobs=1)
+        assert "engines" not in payload
         assert payload["all_identical"] is True
         (case,) = payload["cases"]
         assert case["t_array"] > 0
@@ -124,13 +121,8 @@ class TestSweep:
         assert payload["analysis_shared"] is True
         assert payload["floor_misses"] == []
         assert payload["acceptance"] is None  # no scale-50k in this table
-        assert payload["engines"] == ["array"]
         assert payload["pass"] is True
         json.dumps(payload)  # BENCH_des.json payload must be serialisable
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="valid"):
-            run_des_sweep(cases={"tiny": TINY}, engines=("warp",))
 
     def test_quick_selection_excludes_acceptance_case(self):
         quick = set(dessweep.QUICK_CASES)

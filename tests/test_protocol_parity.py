@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 
 import pytest
 
 import repro.engine.protocol as protocol
 import repro.resilience.faults as faults
 import repro.solvers.des_array as des_array
+import repro.solvers.des_array_kernel as des_array_kernel
 import repro.solvers.des_solver as des_solver
 from repro.engine.protocol import (
     ALL_TRACE_KINDS,
@@ -266,3 +268,26 @@ def test_token_layout_round_trip():
         (3 << protocol.XFER_SHIFT) | protocol.XFER_WIRE
     )
     assert layout.xfer_base <= xfer < layout.failure_base
+
+
+# ---------------------------------------------------------------------------
+# 5. The compiled drain binds the protocol through its build defines.
+# ---------------------------------------------------------------------------
+def test_kernel_source_declares_no_protocol_constant():
+    source = des_array_kernel.SOURCE.read_text()
+    defined = set(re.findall(r"^\s*#\s*define\s+(\w+)", source, re.M))
+    assert not defined & set(PROTOCOL_CONSTANTS), (
+        "des_array_kernel.c #defines protocol constant(s) "
+        f"{sorted(defined & set(PROTOCOL_CONSTANTS))}; the loader passes "
+        "them as -D defines"
+    )
+    # Every constant the source requires is one the loader passes.
+    required = set(re.findall(r"defined\((\w+)\)", source))
+    assert required == set(des_array_kernel.protocol_defines())
+
+
+def test_kernel_defines_are_protocol_values():
+    defines = des_array_kernel.protocol_defines()
+    assert defines
+    for name, value in defines.items():
+        assert PROTOCOL_CONSTANTS[name] == value, name

@@ -316,6 +316,33 @@ class TestSolveServiceEndToEnd:
         assert np.array_equal(result.x, base.x)
         assert result.residual == base.residual
 
+    @pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
+    def test_untraced_worker_matches_traced_session(self, design):
+        # Workers solve with tracing off (trace-off non-unified playouts
+        # run on the compiled drain); the response must still equal a
+        # direct traced solve bit for bit.
+        workload = {"generator": "random", "n": 300, "seed": 11}
+        config = RunConfig(design=design, engine="array")
+
+        async def run():
+            async with SolveService() as svc:
+                return await svc.submit(
+                    SolveRequest(config=config, workload=workload,
+                                 rhs={"seed": 5})
+                )
+
+        result = asyncio.run(run())
+        lower = build_workload(workload)
+        b = np.random.default_rng(5).uniform(-1.0, 1.0, size=300)
+        base = SolverSession(replace(config, trace_enabled=True)).solve(
+            lower, b, with_report=False
+        )
+        assert result.status == "ok" and result.mode == "exact"
+        assert result.x.tobytes() == base.x.tobytes()
+        assert result.events == base.execution.events
+        assert result.total_time == base.execution.total_time
+        assert base.execution.trace.records
+
     def test_matrix_request_and_artefact_sharing(self):
         lower = forest_lower(48, seed=3)
 
@@ -478,7 +505,9 @@ class TestSolveServiceEndToEnd:
 
         async def run():
             async with SolveService(breaker_threshold=2) as svc:
-                # Each deadlocking request records one breaker failure.
+                # Each deadlocking request records two breaker failures
+                # (the exact and the stale rung both deadlock), so the
+                # first one already opens the threshold-2 breaker.
                 for _ in range(2):
                     await svc.submit(
                         SolveRequest(
@@ -510,6 +539,7 @@ class TestSolveServiceEndToEnd:
 
         async def run():
             async with SolveService(breaker_threshold=2) as svc:
+                # Two breaker failures per request (exact and stale rung).
                 for _ in range(2):
                     await svc.submit(
                         SolveRequest(

@@ -23,6 +23,7 @@ them to the same contracts as the strict designs:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,37 @@ class TestEngineParity:
             }
         assert counts["reference"] == counts["array"]
         assert counts["reference"][TRACE_STALE_LAUNCH] > 0
+
+    def test_starved_stale_run_is_a_typed_deadlock(self):
+        # Every message dropped, no retry: the strict design deadlocks
+        # with waiters, and the stale rung (whose wake lets every
+        # component leave its park) must fail with the same typed error
+        # on both engines, so the serve breaker counts it.
+        from repro.bench.loadgen import DEADLOCK_CONFIG
+        from repro.errors import DeadlockError
+        from repro.serve.degrade import DegradationLadder, DegradeMode
+        from repro.serve.service import STRUCTURAL_ERRORS
+
+        stale_cfg = DegradationLadder().derive_config(
+            DEADLOCK_CONFIG(), DegradeMode.STALE
+        )
+        lower = forest_lower(48, seed=3)
+        b = np.ones(48)
+        errors = {}
+        for engine in ("reference", "array"):
+            session = SolverSession(replace(stale_cfg, engine=engine))
+            with pytest.raises(DeadlockError) as info:
+                session.solve(lower, b, with_report=False)
+            errors[engine] = info.value
+        ref, arr = errors["reference"], errors["array"]
+        assert isinstance(ref, STRUCTURAL_ERRORS)
+        assert ref.blocked == arr.blocked == {}
+        assert str(ref) == str(arr)
+        assert ref.diagnostics == arr.diagnostics
+        assert set(ref.diagnostics) == {
+            "now", "events_processed", "unsatisfied"
+        }
+        assert ref.diagnostics["unsatisfied"] > 0
 
 
 # ======================================================================

@@ -15,10 +15,7 @@ flat taskpool vs hierarchical placement across the IB tier), and writes
 
 ``--config`` takes a :class:`repro.runtime.RunConfig` JSON object (or
 ``@path/to/file.json``); its ``design`` and ``n_gpus`` knobs select the
-simulated node every case is measured on.  ``--engines`` takes a
-comma-separated subset of the fast engines (only ``array``);
-unknown names raise a :class:`~repro.errors.ConfigurationError` listing
-the valid ones.
+simulated node every case is measured on.
 
 Exit status: 0 when every comparison is bit-identical, no worker
 re-derived its analysis, and every clean (non-noisy) case meets its
@@ -35,7 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.dessweep import SWEEP_ENGINES, run_des_sweep  # noqa: E402
+from repro.bench.dessweep import run_des_sweep  # noqa: E402
 
 
 def _fmt(v, width, prec=3):
@@ -67,12 +64,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes (default: one per case, capped at cores-1)",
     )
     parser.add_argument(
-        "--engines",
-        default=",".join(SWEEP_ENGINES),
-        help="comma-separated fast engines to measure "
-        f"(subset of: {', '.join(SWEEP_ENGINES)})",
-    )
-    parser.add_argument(
         "--no-scale-out",
         action="store_true",
         help="skip the multi-node scale-out rows (64-256 simulated GPUs)",
@@ -91,19 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     from repro.errors import ConfigurationError
     from repro.runtime import load_run_config
 
-    engines = tuple(
-        e.strip() for e in args.engines.split(",") if e.strip()
-    )
-    unknown = [e for e in engines if e not in SWEEP_ENGINES]
-    if unknown:
-        err = ConfigurationError(
-            f"unknown engine(s) {', '.join(unknown)} for --engines; "
-            f"valid engines: {', '.join(SWEEP_ENGINES)}"
-        )
-        parser.error(str(err))
-    if not engines:
-        parser.error("--engines must select at least one engine")
-
     try:
         cfg = load_run_config(args.config)
     except ConfigurationError as err:
@@ -115,7 +93,6 @@ def main(argv: list[str] | None = None) -> int:
         jobs=args.jobs,
         n_gpus=cfg.n_gpus,
         design=cfg.design,
-        engines=engines,
         scale_out=not args.no_scale_out,
     )
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
